@@ -83,30 +83,30 @@ bool ConsolidationEngine::ProbeServers(const std::vector<int>& servers,
   return feasible;
 }
 
-Assignment ConsolidationEngine::DecodePoint(const std::vector<double>& x, int k,
-                                            const std::vector<int>* targets) const {
+void ConsolidationEngine::DecodePoint(const std::vector<double>& x, int k,
+                                      const std::vector<int>* targets,
+                                      std::vector<int>* server_of_slot) const {
   // With drained classes the DIRECT encoding covers placable servers only
   // (the hard drain mask): the search space shrinks instead of the
   // optimizer wading through penalized regions. `targets` null or empty
   // means no mask — the classic [0, k) encoding, bit-for-bit.
   const int m = targets != nullptr ? static_cast<int>(targets->size()) : 0;
-  Assignment a;
-  a.server_of_slot.resize(x.size());
+  std::vector<int>& out = *server_of_slot;
+  out.resize(x.size());
   int slot = 0;
   for (const auto& w : problem_.workloads) {
     for (int r = 0; r < w.replicas; ++r, ++slot) {
       if (w.pinned_server >= 0 && w.pinned_server < k) {
-        a.server_of_slot[slot] = w.pinned_server;
+        out[slot] = w.pinned_server;
       } else if (m > 0) {
         int idx = static_cast<int>(x[slot] * m);
-        a.server_of_slot[slot] = (*targets)[std::clamp(idx, 0, m - 1)];
+        out[slot] = (*targets)[std::clamp(idx, 0, m - 1)];
       } else {
         int j = static_cast<int>(x[slot] * k);
-        a.server_of_slot[slot] = std::clamp(j, 0, k - 1);
+        out[slot] = std::clamp(j, 0, k - 1);
       }
     }
   }
-  return a;
 }
 
 Evaluator* ConsolidationEngine::EvaluatorFor(int k,
@@ -141,12 +141,16 @@ Assignment ConsolidationEngine::RunDirect(int k, int budget, double target_value
   opts.max_evaluations = budget;
   opts.epsilon = options_.direct_epsilon;
   opts.target_value = target_value;
+  std::vector<int> decoded;  // reused across objective calls
   const auto objective = [&](const std::vector<double>& x) {
-    return ev->Evaluate(DecodePoint(x, k, targets).server_of_slot);
+    DecodePoint(x, k, targets, &decoded);
+    return ev->Evaluate(decoded);
   };
   const opt::DirectResult res = direct.Minimize(objective, dims, opts);
   if (evals_out) *evals_out = res.evaluations;
-  return DecodePoint(res.x, k, targets);
+  Assignment plan;
+  DecodePoint(res.x, k, targets, &plan.server_of_slot);
+  return plan;
 }
 
 void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* rng,

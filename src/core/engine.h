@@ -207,9 +207,12 @@ class ConsolidationEngine {
   Evaluator* EvaluatorFor(int k, std::unique_ptr<Evaluator>* owned);
 
   /// Respects pins when decoding DIRECT points. A non-empty `targets`
-  /// restricts the encoding to those servers (the hard drain mask).
-  Assignment DecodePoint(const std::vector<double>& x, int k,
-                         const std::vector<int>* targets = nullptr) const;
+  /// restricts the encoding to those servers (the hard drain mask). Writes
+  /// into a caller-owned buffer, resized to the slot count, so the
+  /// per-evaluation DIRECT objective allocates nothing.
+  void DecodePoint(const std::vector<double>& x, int k,
+                   const std::vector<int>* targets,
+                   std::vector<int>* server_of_slot) const;
 
   const ConsolidationProblem& problem_;
   EngineOptions options_;

@@ -10,23 +10,31 @@ namespace kairos::opt {
 
 namespace {
 
-/// One hyperrectangle: its center, value, and per-dimension trisection
-/// depth (side length in dim i is 3^-levels[i]).
-struct Rect {
-  std::vector<double> center;
-  std::vector<uint16_t> levels;
-  double f = 0;
-  double diameter = 0;
+/// Squared side lengths (3^-l)^2 by trisection depth l, grown on demand.
+/// Diameter() sums the same doubles a per-dimension std::pow produced, in
+/// the same dimension order, so every diameter is bit-identical to it.
+class SideSquares {
+ public:
+  double Diameter(const uint16_t* levels, int dims) {
+    double s = 0;
+    for (int d = 0; d < dims; ++d) s += Square(levels[d]);
+    return 0.5 * std::sqrt(s);
+  }
+
+ private:
+  double Square(uint16_t l) {
+    while (table_.size() <= l) {
+      const double side = std::pow(3.0, -static_cast<double>(table_.size()));
+      table_.push_back(side * side);
+    }
+    return table_[l];
+  }
+
+  std::vector<double> table_;
 };
 
-double Diameter(const std::vector<uint16_t>& levels) {
-  double s = 0;
-  for (uint16_t l : levels) {
-    const double side = std::pow(3.0, -static_cast<double>(l));
-    s += side * side;
-  }
-  return 0.5 * std::sqrt(s);
-}
+/// Coordinates reserved at most up front (see Minimize).
+constexpr size_t kReserveCoords = size_t{1} << 22;
 
 }  // namespace
 
@@ -34,24 +42,52 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
                                        const DirectOptions& options) const {
   DirectResult result;
   if (dims <= 0) return result;
+  const size_t n = static_cast<size_t>(dims);
 
-  std::vector<Rect> rects;
-  Rect root;
-  root.center.assign(dims, 0.5);
-  root.levels.assign(dims, 0);
-  root.f = f(root.center);
-  root.diameter = Diameter(root.levels);
+  // Rectangle i: center centers[i*n ..], per-dimension trisection depth
+  // levels[i*n ..] (side length in dim d is 3^-levels[i*n + d]), value
+  // fvals[i] and diameter diams[i].
+  //
+  // Every evaluation adds one rectangle, so reserving the budget up front
+  // (capped for huge budgets) spares the arrays re-allocations that would
+  // hold two copies at once.
+  const size_t reserve =
+      std::min<size_t>(std::max(options.max_evaluations, 1),
+                       std::max<size_t>(kReserveCoords / n, 1));
+  std::vector<double> centers;
+  std::vector<uint16_t> levels;
+  std::vector<double> fvals;
+  std::vector<double> diams;
+  centers.reserve(reserve * n);
+  levels.reserve(reserve * n);
+  fvals.reserve(reserve);
+  diams.reserve(reserve);
+  centers.assign(n, 0.5);
+  levels.assign(n, 0);
+  SideSquares sides;
+
+  // One reused point: the parent center while a rectangle is divided, with
+  // a single coordinate displaced for each probe.
+  std::vector<double> x(centers);
+  fvals.push_back(f(x));
+  diams.push_back(sides.Diameter(levels.data(), dims));
   result.evaluations = 1;
-  result.x = root.center;
-  result.fx = root.f;
-  rects.push_back(std::move(root));
+  result.x = x;
+  result.fx = fvals[0];
 
-  auto consider = [&](const std::vector<double>& x, double fx) {
+  auto consider = [&](double fx) {
     if (fx < result.fx) {
       result.fx = fx;
       result.x = x;
     }
   };
+
+  struct Probe {
+    int dim;
+    double f_plus, f_minus, w;
+  };
+  std::vector<Probe> probes;
+  std::vector<uint16_t> parent_levels(n);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (result.evaluations >= options.max_evaluations) break;
@@ -59,13 +95,16 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
       result.hit_target = true;
       break;
     }
+    // Every division samples a +/- pair: once none fits the remaining
+    // budget, further iterations could only select and evaluate nothing.
+    if (result.evaluations + 2 > options.max_evaluations) break;
     result.iterations = iter + 1;
 
     // Group rectangles by diameter; keep the best rect per group.
     std::map<double, size_t> best_per_diameter;  // diameter -> index
-    for (size_t i = 0; i < rects.size(); ++i) {
-      auto [it, inserted] = best_per_diameter.try_emplace(rects[i].diameter, i);
-      if (!inserted && rects[i].f < rects[it->second].f) it->second = i;
+    for (size_t i = 0; i < fvals.size(); ++i) {
+      auto [it, inserted] = best_per_diameter.try_emplace(diams[i], i);
+      if (!inserted && fvals[i] < fvals[it->second]) it->second = i;
     }
 
     // Candidate (d, fmin) points in ascending diameter order.
@@ -77,14 +116,14 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
     const double fbest = result.fx;
     for (size_t g = 0; g < groups.size(); ++g) {
       const double dj = groups[g].first;
-      const double fj = rects[groups[g].second].f;
+      const double fj = fvals[groups[g].second];
       double k_lo = 0.0;
       double k_hi = std::numeric_limits<double>::infinity();
       bool dominated = false;
       for (size_t h = 0; h < groups.size(); ++h) {
         if (h == g) continue;
         const double di = groups[h].first;
-        const double fi = rects[groups[h].second].f;
+        const double fi = fvals[groups[h].second];
         if (di < dj) {
           k_lo = std::max(k_lo, (fj - fi) / (dj - di));
         } else if (di > dj) {
@@ -110,64 +149,60 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
 
     // Divide each selected rectangle along its longest dimensions.
     for (size_t idx : selected) {
-      if (result.evaluations >= options.max_evaluations) break;
-      // Copy: rects will be appended to (iterator invalidation).
-      Rect parent = rects[idx];
+      if (result.evaluations + 2 > options.max_evaluations) break;
+      // Local copies: the appends below may reallocate the flat arrays.
+      std::copy_n(centers.begin() + idx * n, n, x.begin());
+      std::copy_n(levels.begin() + idx * n, n, parent_levels.begin());
 
-      uint16_t min_level = std::numeric_limits<uint16_t>::max();
-      for (uint16_t l : parent.levels) min_level = std::min(min_level, l);
-      std::vector<int> long_dims;
-      for (int d = 0; d < dims; ++d) {
-        if (parent.levels[d] == min_level) long_dims.push_back(d);
-      }
+      const uint16_t min_level =
+          *std::min_element(parent_levels.begin(), parent_levels.end());
       const double delta = std::pow(3.0, -static_cast<double>(min_level) - 1.0);
 
       // Sample c +/- delta e_d for each long dimension.
-      struct Probe {
-        int dim;
-        double f_plus, f_minus, w;
-        std::vector<double> x_plus, x_minus;
-      };
-      std::vector<Probe> probes;
-      for (int d : long_dims) {
+      probes.clear();
+      for (int d = 0; d < dims; ++d) {
+        if (parent_levels[d] != min_level) continue;
         if (result.evaluations + 2 > options.max_evaluations) break;
+        const double c = x[d];
         Probe p;
         p.dim = d;
-        p.x_plus = parent.center;
-        p.x_plus[d] += delta;
-        p.x_minus = parent.center;
-        p.x_minus[d] -= delta;
-        p.f_plus = f(p.x_plus);
-        p.f_minus = f(p.x_minus);
+        x[d] = c + delta;
+        p.f_plus = f(x);
+        consider(p.f_plus);
+        x[d] = c - delta;
+        p.f_minus = f(x);
+        consider(p.f_minus);
+        x[d] = c;
         result.evaluations += 2;
-        consider(p.x_plus, p.f_plus);
-        consider(p.x_minus, p.f_minus);
         p.w = std::min(p.f_plus, p.f_minus);
-        probes.push_back(std::move(p));
+        probes.push_back(p);
       }
-      if (probes.empty()) continue;
       std::sort(probes.begin(), probes.end(),
                 [](const Probe& a, const Probe& b) { return a.w < b.w; });
 
-      // Trisect best-w dimension first (Jones' division order). Work on the
-      // local copy: push_back below may reallocate `rects`.
+      // Trisect best-w dimension first (Jones' division order): both
+      // children of dimension d take the parent's depths at that point,
+      // and the parent ends with the depths of its last children.
+      double diameter = 0;
       for (const Probe& p : probes) {
-        parent.levels[p.dim] += 1;
-        Rect plus;
-        plus.center = p.x_plus;
-        plus.levels = parent.levels;
-        plus.f = p.f_plus;
-        plus.diameter = Diameter(plus.levels);
-        Rect minus;
-        minus.center = p.x_minus;
-        minus.levels = parent.levels;
-        minus.f = p.f_minus;
-        minus.diameter = Diameter(minus.levels);
-        rects.push_back(std::move(plus));
-        rects.push_back(std::move(minus));
+        parent_levels[p.dim] += 1;
+        diameter = sides.Diameter(parent_levels.data(), dims);
+        const double c = x[p.dim];
+        x[p.dim] = c + delta;
+        centers.insert(centers.end(), x.begin(), x.end());
+        x[p.dim] = c - delta;
+        centers.insert(centers.end(), x.begin(), x.end());
+        x[p.dim] = c;
+        for (int child = 0; child < 2; ++child) {
+          levels.insert(levels.end(), parent_levels.begin(), parent_levels.end());
+          diams.push_back(diameter);
+        }
+        fvals.push_back(p.f_plus);
+        fvals.push_back(p.f_minus);
       }
-      parent.diameter = Diameter(parent.levels);
-      rects[idx] = std::move(parent);
+      std::copy(parent_levels.begin(), parent_levels.end(),
+                levels.begin() + idx * n);
+      diams[idx] = diameter;
     }
   }
   return result;

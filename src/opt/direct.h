@@ -33,6 +33,8 @@ struct DirectResult {
   std::vector<double> x;     ///< Best point found (in [0,1]^n).
   double fx = 0;             ///< Objective at x.
   int evaluations = 0;
+  /// Dividing iterations: select the potentially-optimal rectangles, then
+  /// trisect them. Iterations that could divide nothing are not run.
   int iterations = 0;
   bool hit_target = false;   ///< Stopped because target_value was reached.
 };
@@ -42,7 +44,14 @@ class DirectOptimizer {
  public:
   using Objective = std::function<double(const std::vector<double>&)>;
 
-  /// Minimizes `f` over [0,1]^dims.
+  /// Minimizes `f` over [0,1]^dims. The center is always evaluated; each
+  /// division then samples +/- pairs, so evaluations grow as 1 + 2m. Before
+  /// every iteration the run stops, in this order, when
+  ///   1. the budget is spent (evaluations >= max_evaluations),
+  ///   2. the target is reached (fx <= target_value; sets hit_target),
+  ///   3. no pair fits the rest of the budget (evaluations + 2 >
+  ///      max_evaluations), as after an even budget's last pair,
+  /// or after max_iterations dividing iterations.
   DirectResult Minimize(const Objective& f, int dims, const DirectOptions& options) const;
 };
 
