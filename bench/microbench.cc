@@ -101,18 +101,54 @@ core::ConsolidationProblem MakeProblem(int n, int samples) {
   return prob;
 }
 
+// Evaluate() re-prices only the servers whose slot set changed since its
+// previous call. The full-pass cost is therefore timed by alternating two
+// assignments that differ on every slot (the cold path), and the DIRECT
+// pattern by replaying its probes: centre + delta, centre - delta along one
+// coordinate, then the next coordinate.
+
 void BM_EvaluatorFull(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto prob = MakeProblem(n, 288);
   core::Evaluator ev(prob, std::max(2, n / 8));
+  const int servers = ev.max_servers();
   util::Rng rng(3);
-  std::vector<int> assignment(ev.num_slots());
-  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(0, ev.max_servers() - 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ev.Evaluate(assignment));
+  std::vector<int> a(ev.num_slots()), b(ev.num_slots());
+  for (size_t s = 0; s < a.size(); ++s) {
+    a[s] = static_cast<int>(rng.UniformInt(0, servers - 1));
+    b[s] = (a[s] + 1) % servers;
   }
+  bool flip = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ev.Evaluate(flip ? b : a));
+    flip = !flip;
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EvaluatorFull)->Arg(32)->Arg(128)->Arg(196);
+
+void BM_EvaluatorDirectProbe(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto prob = MakeProblem(n, 288);
+  core::Evaluator ev(prob, std::max(2, n / 8));
+  const int servers = ev.max_servers();
+  util::Rng rng(3);
+  std::vector<int> centre(ev.num_slots());
+  for (auto& j : centre) j = static_cast<int>(rng.UniformInt(0, servers - 1));
+  std::vector<int> probe = centre;
+  int d = 0;
+  for (auto _ : state) {
+    const int home = centre[d];
+    probe[d] = (home + 1) % servers;
+    benchmark::DoNotOptimize(ev.Evaluate(probe));
+    probe[d] = (home + servers - 1) % servers;
+    benchmark::DoNotOptimize(ev.Evaluate(probe));
+    probe[d] = home;
+    d = (d + 1) % ev.num_slots();
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_EvaluatorDirectProbe)->Arg(32)->Arg(128);
 
 // --- MoveDelta ops/sec: the incremental hot path of every local search,
 // --- SA/tabu sweep, and online re-solve. Items-per-second in the report

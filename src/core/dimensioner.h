@@ -65,7 +65,8 @@ class FleetDimensioner {
  private:
   const ConsolidationProblem& problem_;
   ConsolidationEngine& engine_;
-  const EngineOptions& options_;
+  // Held by value: callers may pass a temporary.
+  const EngineOptions options_;
 };
 
 }  // namespace kairos::core

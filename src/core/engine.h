@@ -56,9 +56,11 @@ struct EngineOptions {
   /// Reuse the full-cap Evaluator and greedy packing context (slot
   /// accountant + slot/server orderings) across the dimensioner's budget
   /// probes and the polish, instead of rebuilding them per probe. Results
-  /// are bit-identical either way — Evaluate() is pure and Load() fully
-  /// resets — so this is purely a probe-latency lever; the off switch
-  /// exists for the cached-vs-uncached comparison in the benches.
+  /// are bit-identical either way — Evaluate()'s result is a pure function
+  /// of the assignment (it only reuses per-server costs of servers whose
+  /// slot set did not change) and Load() fully resets — so this is purely
+  /// a probe-latency lever; the off switch exists for the
+  /// cached-vs-uncached comparison in the benches.
   bool reuse_probe_context = true;
 
   /// Called whenever the engine improves its incumbent (after each

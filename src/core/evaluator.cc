@@ -145,36 +145,46 @@ double Evaluator::AffinityViolations(const std::vector<int>& assignment) const {
   return units;
 }
 
-void Evaluator::ResetScratch() const {
-  const size_t rows = static_cast<size_t>(max_servers_) * acct_.num_samples();
-  if (scratch_ws_.empty()) {
-    for (auto& axis : scratch_) axis.assign(rows, 0.0);
-    scratch_ws_.assign(max_servers_, 0.0);
-    scratch_count_.assign(max_servers_, 0);
-    return;
-  }
-  for (int j : scratch_dirty_) {
-    for (auto& axis : scratch_) {
-      std::fill_n(axis.begin() + static_cast<size_t>(j) * acct_.num_samples(),
-                  acct_.num_samples(), 0.0);
-    }
-    scratch_ws_[j] = 0.0;
-    scratch_count_[j] = 0;
-  }
-  scratch_dirty_.clear();
-}
-
 double Evaluator::Evaluate(const std::vector<int>& assignment) const {
   ++tl_eval_ops.evaluate_ops;
   const int num_slots = acct_.num_slots();
   const int samples = acct_.num_samples();
   assert(static_cast<int>(assignment.size()) == num_slots);
-  ResetScratch();
-  double pin_penalty = 0;
+
+  // Mark the servers whose slot set differs from the previous call's:
+  // every server on the first call, else the old and new server of each
+  // moved slot.
+  if (last_assignment_.size() != assignment.size()) {
+    const size_t rows = static_cast<size_t>(max_servers_) * samples;
+    for (auto& axis : scratch_) axis.assign(rows, 0.0);
+    scratch_ws_.assign(max_servers_, 0.0);
+    scratch_count_.assign(max_servers_, 0);
+    scratch_cost_.assign(max_servers_, 0.0);
+    scratch_changed_.assign(max_servers_, 1);
+  } else {
+    for (int s = 0; s < num_slots; ++s) {
+      if (assignment[s] != last_assignment_[s]) {
+        scratch_changed_[last_assignment_[s]] = 1;
+        scratch_changed_[assignment[s]] = 1;
+      }
+    }
+  }
+  last_assignment_ = assignment;
+
+  // Re-accumulate the changed servers from zero in ascending slot order —
+  // the fold order of a from-scratch pass, so every row, and hence every
+  // cost, is bit-identical to one — and re-price only those servers.
+  for (int j = 0; j < max_servers_; ++j) {
+    if (!scratch_changed_[j]) continue;
+    const size_t base = static_cast<size_t>(j) * samples;
+    for (auto& axis : scratch_) std::fill_n(axis.begin() + base, samples, 0.0);
+    scratch_ws_[j] = 0.0;
+    scratch_count_[j] = 0;
+  }
   for (int s = 0; s < num_slots; ++s) {
     const int j = assignment[s];
     assert(j >= 0 && j < max_servers_);
-    if (scratch_count_[j] == 0) scratch_dirty_.push_back(j);
+    if (!scratch_changed_[j]) continue;
     const size_t base = static_cast<size_t>(j) * samples;
     const double* sl_cpu = acct_.SlotSeries(Axis::kCpu, s);
     const double* sl_ram = acct_.SlotSeries(Axis::kRam, s);
@@ -189,21 +199,27 @@ double Evaluator::Evaluate(const std::vector<int>& assignment) const {
     }
     scratch_ws_[j] += acct_.SlotWs(s);
     scratch_count_[j] += 1;
-    if (acct_.PinOfSlot(s) >= 0 && acct_.PinOfSlot(s) != j) {
-      pin_penalty += kPinPenalty;
-    }
   }
-  double cost = pin_penalty;
   for (int j = 0; j < max_servers_; ++j) {
+    if (!scratch_changed_[j]) continue;
     const size_t base = static_cast<size_t>(j) * samples;
     const double* cpu = scratch_[static_cast<int>(Axis::kCpu)].data() + base;
     const double* ram = scratch_[static_cast<int>(Axis::kRam)].data() + base;
     const double* rate = scratch_[static_cast<int>(Axis::kRate)].data() + base;
-    cost += ServerCostOf(
+    scratch_cost_[j] = ServerCostOf(
         acct_.ClassOfServer(j), scratch_ws_[j], scratch_count_[j],
         [&](int t) { return cpu[t]; }, [&](int t) { return ram[t]; },
         [&](int t) { return rate[t]; }, nullptr);
+    scratch_changed_[j] = 0;
   }
+
+  double cost = 0;
+  for (int s = 0; s < num_slots; ++s) {
+    if (acct_.PinOfSlot(s) >= 0 && acct_.PinOfSlot(s) != assignment[s]) {
+      cost += kPinPenalty;
+    }
+  }
+  for (int j = 0; j < max_servers_; ++j) cost += scratch_cost_[j];
   const double aff = AffinityViolations(assignment);
   if (aff > 0) cost += aff * (kViolationBase + kViolationScale * kAffinityUnit);
   if (has_migration_) {
@@ -220,10 +236,15 @@ void Evaluator::Load(const std::vector<int>& assignment) {
   for (int s = 0; s < num_slots; ++s) acct_.Apply(assignment[s], s, +1.0);
   server_cost_.assign(max_servers_, 0.0);
   server_violation_.assign(max_servers_, 0.0);
+  for (int j = 0; j < max_servers_; ++j) RecomputeServer(j);
+  Retotal();
+}
+
+void Evaluator::Retotal() {
+  const int num_slots = acct_.num_slots();
   current_cost_ = 0;
   total_violation_ = 0;
   for (int j = 0; j < max_servers_; ++j) {
-    RecomputeServer(j);
     current_cost_ += server_cost_[j];
     total_violation_ += server_violation_[j];
   }
@@ -316,20 +337,42 @@ void Evaluator::ApplyMove(int slot, int to) {
   ++tl_eval_ops.apply_move_ops;
   const int from = assignment_[slot];
   if (to == from) return;
-  const double delta = MoveDelta(slot, to);
+  // One applied move still counts one delta op, as when it was priced
+  // through MoveDelta.
+  ++tl_eval_ops.move_delta_ops;
+  const double old_from = server_cost_[from];
+  const double old_to = server_cost_[to];
+  const double old_violation = server_violation_[from] + server_violation_[to];
   const double affinity_delta = SlotAffinity(slot, to) - SlotAffinity(slot, from);
-
-  current_cost_ += delta;
-  migration_cost_ += SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
-  total_violation_ -= server_violation_[from] + server_violation_[to];
+  const double migration_delta =
+      SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
 
   acct_.Apply(from, slot, -1.0);
   acct_.Apply(to, slot, +1.0);
   assignment_[slot] = to;
+  // Apply() forms each aggregate with the expression WhatIfCost() reads
+  // through its getters, so these are bitwise the costs MoveDelta prices.
   RecomputeServer(from);
   RecomputeServer(to);
+
+  if (acct_.PinOfSlot(slot) >= 0) {
+    // MoveDelta answers a pinned slot with a sentinel, not a delta, and a
+    // kPinPenalty-sized step would swamp the low bits of the total: re-sum
+    // the cached per-server costs instead (O(servers + slots), and only
+    // pinned slots ever take this path).
+    Retotal();
+    return;
+  }
+  total_violation_ -= old_violation;
   total_violation_ += server_violation_[from] + server_violation_[to];
   total_violation_ += affinity_delta * kAffinityUnit;
+  migration_cost_ += migration_delta;
+  // MoveDelta's grouping ((A - B) + C) - D, so current_cost() moves by
+  // exactly MoveDelta(slot, to).
+  double delta = server_cost_[from] - old_from + server_cost_[to] - old_to;
+  delta += affinity_delta * (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += migration_delta;
+  current_cost_ += delta;
 }
 
 Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {

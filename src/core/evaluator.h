@@ -17,9 +17,13 @@
 // shape — exp-balance, violation penalties, affinity/pin/migration terms.
 //
 // Supports both one-shot evaluation (for DIRECT) and cached incremental
-// move evaluation (for the local-search polish). Instances are not
-// thread-safe (Evaluate() reuses internal scratch buffers); portfolio
-// solvers each construct their own.
+// move evaluation (for the local-search polish). Evaluate() keeps the
+// previous call's assignment and per-server costs and re-prices only the
+// servers whose slot set changed — DIRECT's consecutive probes differ in
+// one or two coordinates — yet its result stays a pure function of the
+// assignment, bit-identical to a fresh instance's. That reuse state is
+// mutable, so instances are not thread-safe; portfolio solvers each
+// construct their own.
 #ifndef KAIROS_CORE_EVALUATOR_H_
 #define KAIROS_CORE_EVALUATOR_H_
 
@@ -40,8 +44,8 @@ namespace kairos::core {
 /// bumps a plain thread-local integer — no atomics, no sink branch — and an
 /// instrumented region brackets the work with ResetEvalOps() before and
 /// FlushEvalOps(sink) after (portfolio workers flush per member, the
-/// controller per resolve, the engine per Solve). ApplyMove computes its
-/// delta through MoveDelta, so one applied move also counts one delta op.
+/// controller per resolve, the engine per Solve). One applied move also
+/// counts one delta op.
 struct EvalOpCounts {
   int64_t evaluate_ops = 0;
   int64_t move_delta_ops = 0;
@@ -70,8 +74,12 @@ class Evaluator {
   /// Pinned server of a slot (-1 if free).
   int PinOfSlot(int slot) const { return acct_.PinOfSlot(slot); }
 
-  /// One-shot evaluation of an assignment (no cached state touched; reuses
-  /// internal scratch, so not concurrency-safe on one instance).
+  /// One-shot evaluation of an assignment; the Load()/ApplyMove() cache is
+  /// not touched. Re-prices only the servers whose slot set differs from
+  /// the previous call's (all of them on the first call), re-accumulating
+  /// each from zero in slot order, so the result is a pure function of
+  /// `assignment` — bit-identical to a fresh Evaluator's. The reuse state
+  /// is mutable: not concurrency-safe on one instance.
   double Evaluate(const std::vector<int>& assignment) const;
 
   /// Loads `assignment` into the incremental cache.
@@ -89,7 +97,10 @@ class Evaluator {
   /// costs one pass over the accountant's SoA rows instead of two.
   void MoveDeltaBatch(int slot, const std::vector<int>& targets,
                       std::vector<double>* deltas) const;
-  /// Applies a move and updates the cache.
+  /// Applies a move and updates the cache. An unpinned slot's move changes
+  /// current_cost() by exactly MoveDelta(slot, to); a pinned slot's move
+  /// re-sums the cached terms, pin penalty included (MoveDelta returns a
+  /// sentinel for those).
   void ApplyMove(int slot, int to);
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }
@@ -147,6 +158,9 @@ class Evaluator {
 
   /// Recomputes server `j`'s cached cost + violation from its aggregates.
   void RecomputeServer(int j);
+  /// Re-sums current_cost_/total_violation_/migration_cost_ from the cached
+  /// per-server terms plus the affinity, pin and migration terms.
+  void Retotal();
   /// Anti-affinity violation count for an assignment.
   double AffinityViolations(const std::vector<int>& assignment) const;
   /// Affinity units between `slot` and other slots currently on `server`.
@@ -157,8 +171,6 @@ class Evaluator {
                ? problem_.migration_cost_weight * slot_move_cost_[slot]
                : 0.0;
   }
-  /// Zeroes the servers dirtied by the previous Evaluate() call.
-  void ResetScratch() const;
 
   const ConsolidationProblem& problem_;
   int max_servers_;
@@ -187,11 +199,16 @@ class Evaluator {
   double total_violation_ = 0;
   double migration_cost_ = 0;
 
-  // One-shot scratch (lazily allocated, reused across Evaluate calls).
+  // Evaluate() reuse state (allocated on the first call): the previous
+  // call's assignment and, per server, its accumulated series, working
+  // set, slot count and cost; plus the changed-server marks of the call
+  // in progress (all clear between calls).
+  mutable std::vector<int> last_assignment_;
   mutable std::vector<double> scratch_[kNumAxes];
   mutable std::vector<double> scratch_ws_;
   mutable std::vector<int> scratch_count_;
-  mutable std::vector<int> scratch_dirty_;
+  mutable std::vector<double> scratch_cost_;
+  mutable std::vector<char> scratch_changed_;
 };
 
 }  // namespace kairos::core

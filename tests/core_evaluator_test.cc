@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -19,6 +22,22 @@ monitor::WorkloadProfile MakeProfile(const std::string& name, double cpu_cores,
   p.update_rows_per_sec = util::TimeSeries::Constant(300, samples, rows);
   p.working_set_bytes = ram_gb * 0.8 * static_cast<double>(util::kGiB);
   return p;
+}
+
+/// A disk model with a flat ~10000 rows/s frontier over 1-3 GB.
+model::DiskModel FlatDiskModel() {
+  std::vector<model::ProfilePoint> points;
+  for (double ws : {1e9, 2e9, 3e9}) {
+    for (double rate : {2000.0, 6000.0, 10000.0}) {
+      model::ProfilePoint p;
+      p.working_set_bytes = ws;
+      p.target_rows_per_sec = rate;
+      p.achieved_rows_per_sec = rate;
+      p.write_bytes_per_sec = 150 * rate;
+      points.push_back(p);
+    }
+  }
+  return model::DiskModel::Fit(points);
 }
 
 ConsolidationProblem SmallProblem(int n, double cpu_each = 1.0, double ram_gb = 8.0) {
@@ -157,20 +176,7 @@ TEST(EvaluatorTest, ServerLoadSnapshot) {
 }
 
 TEST(EvaluatorTest, DiskConstraintViaModel) {
-  // A fake disk model from synthetic points: max rate ~ 10000 regardless
-  // of working set (flat frontier over the fitted range).
-  std::vector<model::ProfilePoint> points;
-  for (double ws : {1e9, 2e9, 3e9}) {
-    for (double rate : {2000.0, 6000.0, 10000.0}) {
-      model::ProfilePoint p;
-      p.working_set_bytes = ws;
-      p.target_rows_per_sec = rate;
-      p.achieved_rows_per_sec = rate;
-      p.write_bytes_per_sec = 150 * rate;
-      points.push_back(p);
-    }
-  }
-  const model::DiskModel m = model::DiskModel::Fit(points);
+  const model::DiskModel m = FlatDiskModel();
   ASSERT_TRUE(m.valid());
 
   ConsolidationProblem prob;
@@ -264,7 +270,7 @@ TEST(EvaluatorBatchTest, MoveDeltaBatchBitIdenticalToScalar) {
     }
   }
 
-  // Still exact after incremental mutation (dirty-list scratch reuse).
+  // Still exact after incremental mutation.
   ev.ApplyMove(0, 3);
   ev.ApplyMove(5, 0);
   for (int slot = 0; slot < ev.num_slots(); ++slot) {
@@ -273,6 +279,210 @@ TEST(EvaluatorBatchTest, MoveDeltaBatchBitIdenticalToScalar) {
       EXPECT_EQ(deltas[i], ev.MoveDelta(slot, targets[i]))
           << "post-move slot " << slot << " -> " << targets[i];
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Evaluate() reuses the previous call's per-server costs; these check that
+// the reuse never shows in a result, and that ApplyMove's cached cost stays
+// exact.
+
+/// A workload whose series vary per sample, so the order in which server
+/// aggregates are summed shows in the low bits.
+monitor::WorkloadProfile NoisyProfile(const std::string& name, util::Rng* rng,
+                                      int samples) {
+  std::vector<double> cpu(samples), ram(samples), rows(samples);
+  const double cpu_mean = rng->Uniform(0.3, 3.0);
+  const double ram_gb = rng->Uniform(1.0, 20.0);
+  const double rate = rng->Uniform(0.0, 3000.0);
+  for (int t = 0; t < samples; ++t) {
+    cpu[t] = cpu_mean * rng->Uniform(0.6, 1.4);
+    ram[t] = ram_gb * rng->Uniform(0.9, 1.1) * static_cast<double>(util::kGiB);
+    rows[t] = rate * rng->Uniform(0.5, 1.5);
+  }
+  monitor::WorkloadProfile p;
+  p.name = name;
+  p.cpu_cores = util::TimeSeries(300, cpu);
+  p.ram_bytes = util::TimeSeries(300, ram);
+  p.update_rows_per_sec = util::TimeSeries(300, rows);
+  p.working_set_bytes = ram_gb * 0.1 * static_cast<double>(util::kGiB);
+  return p;
+}
+
+/// Twelve noisy workloads (two with replicas) under the problem's shared
+/// disk model, on an unbounded homogeneous fleet (`hetero` false) or on a
+/// bounded three-class fleet: a drained legacy class, a cheap small class
+/// with its own disk model, and a dear big class. The hetero variant also
+/// carries a pin, anti-affinity pairs and a migration term.
+ConsolidationProblem ParityProblem(bool hetero, const model::DiskModel* disk,
+                                   uint64_t seed) {
+  util::Rng rng(seed);
+  ConsolidationProblem prob;
+  prob.disk_model = disk;
+  for (int i = 0; i < 12; ++i) {
+    prob.workloads.push_back(NoisyProfile("w" + std::to_string(i), &rng, 24));
+  }
+  prob.workloads[2].replicas = 2;
+  prob.workloads[7].replicas = 3;
+  prob.max_servers = 8;
+  if (!hetero) return prob;
+
+  sim::MachineSpec small = sim::MachineSpec::ConsolidationTarget();
+  small.cores = 6;
+  small.ram_bytes = 48 * util::kGiB;
+  prob.fleet.classes.clear();
+  prob.fleet.AddClass(sim::MachineSpec::ConsolidationTarget(), 2, 1.0)
+      .AddClass(small, 4, 0.6)
+      .AddClass(sim::MachineSpec::ConsolidationTarget(), 3, 1.3);
+  prob.fleet.classes[0].drained = true;
+  prob.fleet.classes[1].disk_model =
+      std::make_shared<const model::DiskModel>(FlatDiskModel());
+  prob.workloads[4].pinned_server = 3;
+  prob.anti_affinity = {{0, 5}, {1, 9}, {6, 6}};
+  prob.current_assignment.resize(prob.TotalSlots());
+  for (auto& j : prob.current_assignment) {
+    j = static_cast<int>(rng.UniformInt(0, prob.ServerCap() - 1));
+  }
+  prob.migration_cost_weight = 25.0;
+  return prob;
+}
+
+std::vector<int> RandomAssignment(util::Rng* rng, int slots, int cap) {
+  std::vector<int> a(slots);
+  for (auto& j : a) j = static_cast<int>(rng->UniformInt(0, cap - 1));
+  return a;
+}
+
+TEST(EvaluatorReuseTest, EvaluateBitIdenticalToFreshEvaluator) {
+  const model::DiskModel disk = FlatDiskModel();
+  ASSERT_TRUE(disk.valid());
+  for (const bool hetero : {false, true}) {
+    const ConsolidationProblem prob = ParityProblem(hetero, &disk, 11);
+    const int cap = prob.ServerCap();
+    Evaluator ev(prob, cap);
+    util::Rng rng(hetero ? 21 : 22);
+    const int slots = ev.num_slots();
+    std::vector<int> a = RandomAssignment(&rng, slots, cap);
+    ev.Load(a);
+    for (int step = 0; step < 400; ++step) {
+      // Next point differs from the last one in 0, 1, 2 or all slots —
+      // DIRECT's centre, +delta and -delta probes change one or two.
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          break;
+        case 1:
+          a[rng.UniformInt(0, slots - 1)] = static_cast<int>(rng.UniformInt(0, cap - 1));
+          break;
+        case 2:
+          for (int k = 0; k < 2; ++k) {
+            a[rng.UniformInt(0, slots - 1)] =
+                static_cast<int>(rng.UniformInt(0, cap - 1));
+          }
+          break;
+        default:
+          a = RandomAssignment(&rng, slots, cap);
+      }
+      // The incremental cache lives beside the reuse state; exercising it
+      // must not disturb Evaluate().
+      if (step % 7 == 3) ev.Load(RandomAssignment(&rng, slots, cap));
+      if (step % 5 == 1) {
+        ev.ApplyMove(static_cast<int>(rng.UniformInt(0, slots - 1)),
+                     static_cast<int>(rng.UniformInt(0, cap - 1)));
+      }
+      const double reused = ev.Evaluate(a);
+      Evaluator fresh(prob, cap);
+      ASSERT_EQ(reused, fresh.Evaluate(a))
+          << (hetero ? "hetero" : "homogeneous") << " step " << step;
+      if (!hetero) {
+        // Without pins and migration, Load() sums the same terms in the
+        // same order; its aggregates fold slots in ascending order, so
+        // this also pins down the order Evaluate() folds in.
+        fresh.Load(a);
+        ASSERT_EQ(reused, fresh.current_cost()) << "step " << step;
+      }
+    }
+  }
+}
+
+TEST(EvaluatorReuseTest, UnpinnedApplyMoveAddsExactlyMoveDelta) {
+  const model::DiskModel disk = FlatDiskModel();
+  const ConsolidationProblem prob = ParityProblem(true, &disk, 12);
+  const int cap = prob.ServerCap();
+  Evaluator ev(prob, cap);
+  util::Rng rng(31);
+  ev.Load(RandomAssignment(&rng, ev.num_slots(), cap));
+  int mismatches = 0;
+  int applied = 0;
+  while (applied < 10000) {
+    const int slot = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+    if (ev.PinOfSlot(slot) >= 0) continue;
+    const int to = static_cast<int>(rng.UniformInt(0, cap - 1));
+    const double before = ev.current_cost();
+    const double delta = ev.MoveDelta(slot, to);
+    ev.ApplyMove(slot, to);
+    if (ev.current_cost() != before + delta) ++mismatches;
+    ++applied;
+  }
+  EXPECT_EQ(mismatches, 0);
+  Evaluator fresh(prob, cap);
+  fresh.Load(ev.assignment());
+  EXPECT_NEAR(ev.total_violation(), fresh.total_violation(),
+              1e-9 * std::max(1.0, fresh.total_violation()));
+  EXPECT_DOUBLE_EQ(ev.migration_cost(), fresh.migration_cost());
+}
+
+void ExpectMatchesFullEvaluation(const Evaluator& ev,
+                                 const ConsolidationProblem& prob,
+                                 const std::string& where) {
+  const double full = ev.Evaluate(ev.assignment());
+  EXPECT_NEAR(ev.current_cost(), full, 1e-12 * std::abs(full)) << where;
+  Evaluator fresh(prob, ev.max_servers());
+  fresh.Load(ev.assignment());
+  EXPECT_NEAR(ev.total_violation(), fresh.total_violation(),
+              1e-12 * std::max(1.0, fresh.total_violation()))
+      << where;
+  EXPECT_EQ(ev.IsFeasible(), fresh.IsFeasible()) << where;
+}
+
+TEST(EvaluatorReuseTest, PinnedMovesKeepCachedCostExact) {
+  // Moving a pinned slot home used to leave kPinPenalty and one violation
+  // unit in the cache, so a stitched shard plan that had to return a pin
+  // home never looked feasible.
+  ConsolidationProblem prob = SmallProblem(3, 0.5, 4.0);
+  prob.workloads[1].pinned_server = 1;
+  Evaluator ev(prob, 3);
+  ev.Load({0, 0, 2});
+  EXPECT_FALSE(ev.IsFeasible());
+  ev.ApplyMove(1, 1);  // home
+  ExpectMatchesFullEvaluation(ev, prob, "home");
+  EXPECT_TRUE(ev.IsFeasible());
+  EXPECT_EQ(ev.total_violation(), 0.0);
+  ev.ApplyMove(1, 0);  // off the pin
+  ExpectMatchesFullEvaluation(ev, prob, "off");
+  EXPECT_FALSE(ev.IsFeasible());
+  ev.ApplyMove(1, 2);  // off the pin to off the pin
+  ExpectMatchesFullEvaluation(ev, prob, "off to off");
+  EXPECT_EQ(ev.total_violation(), 1.0);
+
+  // Pinned moves interleaved with unpinned ones on the full problem.
+  const model::DiskModel disk = FlatDiskModel();
+  const ConsolidationProblem hetero = ParityProblem(true, &disk, 13);
+  const int cap = hetero.ServerCap();
+  Evaluator hev(hetero, cap);
+  util::Rng rng(41);
+  hev.Load(RandomAssignment(&rng, hev.num_slots(), cap));
+  int pinned_slot = -1;
+  for (int s = 0; s < hev.num_slots(); ++s) {
+    if (hev.PinOfSlot(s) >= 0) pinned_slot = s;
+  }
+  ASSERT_GE(pinned_slot, 0);
+  for (int i = 0; i < 200; ++i) {
+    const int slot = static_cast<int>(rng.UniformInt(0, hev.num_slots() - 1));
+    hev.ApplyMove(slot, static_cast<int>(rng.UniformInt(0, cap - 1)));
+    const int to = i % 3 == 0 ? hev.PinOfSlot(pinned_slot)
+                              : static_cast<int>(rng.UniformInt(0, cap - 1));
+    hev.ApplyMove(pinned_slot, to);
+    ExpectMatchesFullEvaluation(hev, hetero, "pinned move " + std::to_string(i));
   }
 }
 
