@@ -46,9 +46,14 @@ uint32_t TraceSink::InternTrack(const std::string& name) {
   const auto it = track_ids_.find(name);
   if (it != track_ids_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(track_names_.size());
+  if (id >= kMaxTracks) return kOverflowTrack;
+  if (id % kTracksPerBlock == 0) {
+    seq_block_storage_.push_back(std::make_unique<SeqBlock>());
+    seq_blocks_[id / kTracksPerBlock].store(seq_block_storage_.back().get(),
+                                            std::memory_order_release);
+  }
   track_ids_.emplace(name, id);
   track_names_.push_back(name);
-  track_seq_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   return id;
 }
 
@@ -65,7 +70,7 @@ uint32_t TraceSink::InternName(const std::string& name) {
 void TraceSink::Emit(uint32_t track, uint32_t name, EventKind kind, int64_t i0,
                      int64_t i1, double d0, double d1) {
   Ring* ring = LocalRing();
-  if (ring->events.size() >= ring_capacity_) {
+  if (track >= kMaxTracks || ring->events.size() >= ring_capacity_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -76,7 +81,10 @@ void TraceSink::Emit(uint32_t track, uint32_t name, EventKind kind, int64_t i0,
   // The track's sequence counter is only incremented for events that are
   // actually stored somewhere (a dropped event burns no seq on other
   // threads' rings because a track has a single writer at a time).
-  event.seq = track_seq_[track]->fetch_add(1, std::memory_order_relaxed);
+  SeqBlock* block =
+      seq_blocks_[track / kTracksPerBlock].load(std::memory_order_acquire);
+  event.seq = (*block)[track % kTracksPerBlock].fetch_add(
+      1, std::memory_order_relaxed);
   event.wall_seconds = WallSeconds();
   event.i0 = i0;
   event.i1 = i1;
@@ -92,8 +100,14 @@ double TraceSink::WallSeconds() const {
 
 std::vector<TraceEvent> TraceSink::MergedTrace() const {
   std::vector<TraceEvent> merged;
+  // rank[id] = the track's position in name order (track_ids_ is a map
+  // keyed by name), so the sort below does not depend on intern order.
+  std::vector<uint32_t> rank;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    rank.resize(track_names_.size());
+    uint32_t next_rank = 0;
+    for (const auto& [name, id] : track_ids_) rank[id] = next_rank++;
     size_t total = 0;
     for (const auto& ring : rings_) total += ring->events.size();
     merged.reserve(total);
@@ -102,8 +116,8 @@ std::vector<TraceEvent> TraceSink::MergedTrace() const {
     }
   }
   std::sort(merged.begin(), merged.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.track != b.track) return a.track < b.track;
+            [&rank](const TraceEvent& a, const TraceEvent& b) {
+              if (a.track != b.track) return rank[a.track] < rank[b.track];
               return a.seq < b.seq;
             });
   return merged;

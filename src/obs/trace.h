@@ -8,22 +8,29 @@
 //
 // Determinism contract: a track must never be written concurrently by two
 // threads (each solver runs its whole trajectory on one thread; the engine
-// and controller are internally single-threaded), so (track, seq) is a
+// and controller are internally single-threaded), so (track name, seq) is a
 // total order that does not depend on thread scheduling. MergedTrace()
-// sorts by (track, seq): for a deterministic workload the merged trace is
-// identical across runs and thread counts in everything except the
+// sorts by (track name, seq): for a deterministic workload the merged trace
+// is identical across runs and thread counts in everything except the
 // wall_seconds stamps, which are explicitly excluded from the guarantee.
+// Interned ids are handed out in first-call order, so when several threads
+// intern (portfolio members each intern their own track on a worker) a
+// track's id depends on scheduling: compare tracks by name (TrackNames()),
+// never by id.
 //
 // Overflow: a full ring drops the incoming event (drop-newest) and counts
-// it in dropped_events(); instrument at probe/iteration-improvement
-// granularity, never per MoveDelta, so real traces stay far below the
-// bound.
+// it in dropped_events(), as do events on kOverflowTrack, the id
+// InternTrack returns once kMaxTracks names are interned. Instrument at
+// probe/iteration-improvement granularity, never per MoveDelta, so real
+// traces stay far below the bound.
 #ifndef KAIROS_OBS_TRACE_H_
 #define KAIROS_OBS_TRACE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,6 +62,14 @@ struct TraceEvent {
 
 class TraceSink {
  public:
+  /// Per-track sequence counters live in blocks of kTracksPerBlock; at most
+  /// kMaxTracks tracks can be interned.
+  static constexpr uint32_t kTracksPerBlock = 256;
+  static constexpr uint32_t kMaxTracks = 256 * kTracksPerBlock;
+  /// Returned by InternTrack past kMaxTracks; Emit drops its events.
+  static constexpr uint32_t kOverflowTrack =
+      std::numeric_limits<uint32_t>::max();
+
   /// `ring_capacity` bounds the events buffered per writer thread.
   explicit TraceSink(size_t ring_capacity = size_t{1} << 15);
   ~TraceSink();
@@ -62,8 +77,9 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Interns a track / event name, returning its stable id. Hot paths
-  /// should intern once outside their loops.
+  /// Interns a track / event name, returning its id (the same id for the
+  /// same name for the sink's lifetime). Ids follow first-call order, not
+  /// name order. Hot paths should intern once outside their loops.
   uint32_t InternTrack(const std::string& name);
   uint32_t InternName(const std::string& name);
 
@@ -72,7 +88,8 @@ class TraceSink {
   void Emit(uint32_t track, uint32_t name, EventKind kind, int64_t i0 = 0,
             int64_t i1 = 0, double d0 = 0, double d1 = 0);
 
-  /// All buffered events sorted by (track, seq). Call only when writers
+  /// All buffered events sorted by (track name, seq), so the order does not
+  /// depend on which thread interned a track first. Call only when writers
   /// are quiesced (after the instrumented run completes).
   std::vector<TraceEvent> MergedTrace() const;
 
@@ -102,7 +119,13 @@ class TraceSink {
   std::vector<std::unique_ptr<Ring>> rings_;
   std::map<std::string, uint32_t> track_ids_;
   std::vector<std::string> track_names_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> track_seq_;
+  /// Per-track sequence counters. A block never moves once allocated:
+  /// InternTrack allocates it (under mu_) and publishes it in seq_blocks_,
+  /// Emit reads the published pointer without the lock.
+  using SeqBlock = std::array<std::atomic<uint64_t>, kTracksPerBlock>;
+  std::array<std::atomic<SeqBlock*>, kMaxTracks / kTracksPerBlock>
+      seq_blocks_{};
+  std::vector<std::unique_ptr<SeqBlock>> seq_block_storage_;
   std::map<std::string, uint32_t> name_ids_;
   std::vector<std::string> event_names_;
 

@@ -4,9 +4,11 @@
 // vs detached, at every portfolio thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
@@ -161,6 +163,101 @@ TEST(TraceSinkTest, BoundedRingDropsNewestAndCounts) {
   for (size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].i0, static_cast<int64_t>(i));
   }
+}
+
+TEST(TraceSinkTest, MergedTraceOrderIsByTrackNameNotInternOrder) {
+  // Portfolio members intern their own tracks on worker threads, so the
+  // intern order (and with it the ids) varies from run to run. Two sinks
+  // that intern the same names in opposite orders and emit the same events
+  // must merge to the same name-mapped trace, in track-name order.
+  using Row = std::tuple<std::string, uint64_t, int64_t>;  // track, seq, i0
+  const std::vector<std::string> names = {"greedy/0", "engine/17",
+                                          "anneal/42"};
+  auto run = [&names](bool reverse_intern) {
+    obs::TraceSink trace;
+    std::vector<std::string> order = names;
+    if (reverse_intern) std::reverse(order.begin(), order.end());
+    for (const std::string& track : order) trace.InternTrack(track);
+    const uint32_t name = trace.InternName("e");
+    for (int round = 0; round < 2; ++round) {
+      for (const std::string& track : names) {
+        trace.Emit(trace.InternTrack(track), name, obs::EventKind::kPoint,
+                   round);
+      }
+    }
+    const std::vector<std::string> tracks = trace.TrackNames();
+    std::vector<Row> rows;
+    for (const obs::TraceEvent& e : trace.MergedTrace()) {
+      rows.emplace_back(tracks[e.track], e.seq, e.i0);
+    }
+    return rows;
+  };
+  const std::vector<Row> forward = run(false);
+  EXPECT_EQ(run(true), forward);
+  const std::vector<Row> expected = {
+      {"anneal/42", 0, 0}, {"anneal/42", 1, 1}, {"engine/17", 0, 0},
+      {"engine/17", 1, 1}, {"greedy/0", 0, 0},  {"greedy/0", 1, 1}};
+  EXPECT_EQ(forward, expected);
+}
+
+TEST(TraceSinkTest, ConcurrentInternAndEmitKeepEverySeq) {
+  // Each thread interns fresh tracks while the others emit on theirs;
+  // together they intern enough tracks that the per-track counter storage
+  // must grow several times during the run.
+  obs::TraceSink trace;
+  const uint32_t name = trace.InternName("e");
+  constexpr int kThreads = 4;
+  constexpr int kTracksPerThread = 2 * obs::TraceSink::kTracksPerBlock;
+  constexpr int kEventsPerTrack = 3;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&trace, name, t] {
+      for (int k = 0; k < kTracksPerThread; ++k) {
+        const uint32_t track = trace.InternTrack(
+            "thread" + std::to_string(t) + "/" + std::to_string(k));
+        for (int i = 0; i < kEventsPerTrack; ++i) {
+          trace.Emit(track, name, obs::EventKind::kPoint, i);
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+
+  EXPECT_EQ(trace.dropped_events(), 0);
+  EXPECT_EQ(trace.TrackNames().size(), size_t{kThreads} * kTracksPerThread);
+  const std::vector<obs::TraceEvent> merged = trace.MergedTrace();
+  ASSERT_EQ(merged.size(),
+            size_t{kThreads} * kTracksPerThread * kEventsPerTrack);
+  // Each track's events come back together with seq 0, 1, 2, ... matching
+  // their emission order.
+  std::set<uint32_t> seen;
+  for (size_t i = 0; i < merged.size(); i += kEventsPerTrack) {
+    const uint32_t track = merged[i].track;
+    EXPECT_TRUE(seen.insert(track).second) << "track " << track << " split";
+    for (int k = 0; k < kEventsPerTrack; ++k) {
+      ASSERT_EQ(merged[i + k].track, track);
+      EXPECT_EQ(merged[i + k].seq, static_cast<uint64_t>(k));
+      EXPECT_EQ(merged[i + k].i0, k);
+    }
+  }
+}
+
+TEST(TraceSinkTest, TracksPastTheCapAreDroppedAndCounted) {
+  obs::TraceSink trace;
+  const uint32_t name = trace.InternName("e");
+  for (uint32_t i = 0; i < obs::TraceSink::kMaxTracks; ++i) {
+    ASSERT_EQ(trace.InternTrack("t" + std::to_string(i)), i);
+  }
+  const uint32_t last = obs::TraceSink::kMaxTracks - 1;
+  const uint32_t over = trace.InternTrack("one-too-many");
+  EXPECT_EQ(over, obs::TraceSink::kOverflowTrack);
+  EXPECT_EQ(trace.TrackNames().size(), size_t{obs::TraceSink::kMaxTracks});
+  trace.Emit(over, name, obs::EventKind::kPoint);
+  trace.Emit(last, name, obs::EventKind::kPoint);
+  const std::vector<obs::TraceEvent> merged = trace.MergedTrace();
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].track, last);
+  EXPECT_EQ(trace.dropped_events(), 1);
 }
 
 // ---------------------------------------------------------------------------
