@@ -42,7 +42,10 @@ void BM_BufferPoolTouchMissEvict(benchmark::State& state) {
   util::Rng rng(1);
   db::PageId next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Touch(next++, (next & 3) == 0));
+    // Every fourth page is dirty; sequenced before the call on purpose.
+    const bool dirty = (next & 3) == 0;
+    const db::PageId page = next++;
+    benchmark::DoNotOptimize(pool.Touch(page, dirty));
   }
 }
 BENCHMARK(BM_BufferPoolTouchMissEvict);
@@ -292,8 +295,9 @@ BENCHMARK(BM_EngineProbeLoop)->Arg(0)->Arg(1);
 constexpr int kIngestStreams = 8192;
 constexpr size_t kIngestWindow = 12;
 
-std::vector<online::TelemetrySample> MakeIngestStep(int streams) {
-  util::Rng rng(13);
+std::vector<online::TelemetrySample> MakeIngestStep(int streams,
+                                                    uint64_t seed = 13) {
+  util::Rng rng(seed);
   std::vector<online::TelemetrySample> step(streams);
   for (auto& s : step) {
     s.cpu_cores = rng.Exponential(0.8);
@@ -357,6 +361,22 @@ void BM_IngestBatchStriped(benchmark::State& state) {
 // Real time: the workers' CPU time is not on the caller's clock, so
 // items/sec from CPU time would overstate the striped throughput.
 BENCHMARK(BM_IngestBatchStriped)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// --- Window fingerprints: StreamingProfileBuilder::Stats over every stream
+// --- of a full W = 12 window of distinct samples. Items are streams.
+void BM_StreamingStats(benchmark::State& state) {
+  online::StreamingProfileBuilder builder(kIngestStreams, kIngestWindow, 300.0);
+  for (size_t t = 0; t < 2 * kIngestWindow; ++t) {
+    builder.Ingest(MakeIngestStep(kIngestStreams, 100 + t));
+  }
+  for (auto _ : state) {
+    for (int w = 0; w < kIngestStreams; ++w) {
+      benchmark::DoNotOptimize(builder.Stats(w));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kIngestStreams);
+}
+BENCHMARK(BM_StreamingStats);
 
 // Args: dims, evaluation budget. Evaluations grow as 1 + 2m, so an even
 // budget ends one short of its limit and an odd one exactly on it; both

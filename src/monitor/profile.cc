@@ -1,18 +1,123 @@
 #include "monitor/profile.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 namespace kairos::monitor {
+namespace {
+
+// util::Percentile's rank for p = 95 over n >= 1 samples, written as that
+// function writes it so the interpolation weights match bit for bit.
+constexpr double P95Rank(size_t n) {
+  return 95.0 / 100.0 * static_cast<double>(n - 1);
+}
+
+// The p95 reads sorted[lo] and sorted[lo + 1], lo = floor(rank): the top
+// m = n - lo order statistics hold both.
+constexpr size_t TopCount(size_t n) {
+  return n - static_cast<size_t>(P95Rank(n));
+}
+
+constexpr size_t MaxTopCount() {
+  size_t most = 1;
+  for (size_t n = 1; n <= kMaxFingerprintSamples; ++n) {
+    most = std::max(most, TopCount(n));
+  }
+  return most;
+}
+
+constexpr size_t kMaxTop = MaxTopCount();
+
+// One pass over the window: the chronological sum, the running max (first
+// maximum wins, as std::max_element) and the M largest samples, kept as
+// top[0] >= ... >= top[M - 1] by sinking each sample through a min/max
+// network seeded with -inf. The p95 then interpolates
+// sorted[n - M] = top[M - 1] and sorted[n - M + 1] = top[M - 2] as
+// util::Percentile does.
+//
+// The network is written with std::max/std::min, which compile to
+// maxsd/minsd; the equivalent conditional swap compiles to a data-dependent
+// branch that mispredicts. With M fixed at compile time the network stays
+// in registers: at W = 12 that measured 1.5x faster than a loop over a
+// runtime m (BM_StreamingStats on a 2 GHz Xeon VM).
+template <size_t M>
+WindowStats SummarizeTop(const double* values, size_t n, double frac) {
+  double top[M];
+  for (double& t : top) t = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  double peak = values[0];
+  for (size_t i = 0; i < n; ++i) {
+    double x = values[i];
+    sum += x;
+    peak = x > peak ? x : peak;
+    for (size_t k = 0; k < M; ++k) {
+      const double kept = top[k];
+      top[k] = std::max(kept, x);
+      x = std::min(kept, x);
+    }
+  }
+  WindowStats stats;
+  stats.mean = sum / static_cast<double>(n);
+  stats.peak = peak;
+  if constexpr (M == 1) {
+    // Only n == 1 selects one sample; util::Percentile returns it as is.
+    stats.p95 = top[0];
+  } else {
+    stats.p95 = top[M - 1] * (1.0 - frac) + top[M - 2] * frac;
+  }
+  return stats;
+}
+
+using KernelFn = WindowStats (*)(const double*, size_t, double);
+
+template <size_t... I>
+constexpr std::array<KernelFn, sizeof...(I)> KernelTable(
+    std::index_sequence<I...>) {
+  return {&SummarizeTop<I + 1>...};
+}
+
+// kKernel[m - 1] keeps the top m samples.
+constexpr std::array<KernelFn, kMaxTop> kKernel =
+    KernelTable(std::make_index_sequence<kMaxTop>());
+
+}  // namespace
+
+WindowStats SummarizeWindow(const double* values, size_t n) {
+  if (n == 0) return WindowStats();
+  if (n > kMaxFingerprintSamples) {
+    throw std::invalid_argument(
+        "SummarizeWindow: window longer than kMaxFingerprintSamples");
+  }
+  const double rank = P95Rank(n);
+  const size_t lo = static_cast<size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  return kKernel[n - lo - 1](values, n, frac);
+}
+
+ProfileStats Fingerprint(const WindowStats& cpu, const WindowStats& ram,
+                         const WindowStats& rate, double working_set_bytes) {
+  ProfileStats stats;
+  stats.mean_cpu_cores = cpu.mean;
+  stats.p95_cpu_cores = cpu.p95;
+  stats.peak_cpu_cores = cpu.peak;
+  stats.mean_ram_bytes = ram.mean;
+  stats.p95_ram_bytes = ram.p95;
+  stats.peak_ram_bytes = ram.peak;
+  stats.p95_update_rows_per_sec = rate.p95;
+  stats.working_set_bytes = working_set_bytes;
+  return stats;
+}
 
 ProfileStats Summarize(const WorkloadProfile& profile) {
-  ProfileStats stats;
-  stats.mean_cpu_cores = profile.cpu_cores.Mean();
-  stats.p95_cpu_cores = profile.cpu_cores.Percentile(95.0);
-  stats.peak_cpu_cores = profile.cpu_cores.Max();
-  stats.mean_ram_bytes = profile.ram_bytes.Mean();
-  stats.p95_ram_bytes = profile.ram_bytes.Percentile(95.0);
-  stats.peak_ram_bytes = profile.ram_bytes.Max();
-  stats.p95_update_rows_per_sec = profile.update_rows_per_sec.Percentile(95.0);
-  stats.working_set_bytes = profile.working_set_bytes;
-  return stats;
+  const auto window = [](const util::TimeSeries& series) {
+    return SummarizeWindow(series.values().data(), series.size());
+  };
+  return Fingerprint(window(profile.cpu_cores), window(profile.ram_bytes),
+                     window(profile.update_rows_per_sec),
+                     profile.working_set_bytes);
 }
 
 }  // namespace kairos::monitor

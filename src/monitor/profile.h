@@ -4,6 +4,7 @@
 #ifndef KAIROS_MONITOR_PROFILE_H_
 #define KAIROS_MONITOR_PROFILE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -65,7 +66,37 @@ struct ProfileStats {
   double working_set_bytes = 0;
 };
 
-/// Computes the summary fingerprint of a profile.
+/// Longest signal window the fingerprint is defined for. The kernel keeps
+/// its order statistics in a fixed stack buffer sized for this bound; the
+/// online windows in use are a dozen samples, so 256 leaves wide margin.
+inline constexpr size_t kMaxFingerprintSamples = 256;
+
+/// Mean, p95 and peak of one signal window.
+struct WindowStats {
+  double mean = 0;
+  double p95 = 0;
+  double peak = 0;
+};
+
+/// The per-signal fingerprint kernel over `n` samples, oldest first. Bitwise
+/// equal to util::TimeSeries's Mean(), Percentile(95.0) and Max() over the
+/// same samples, without allocating or sorting: the mean is the
+/// chronological sum, the peak a running max (first maximum wins, as
+/// std::max_element), and the p95 interpolates util::Percentile's two order
+/// statistics, taken from a branchless top-m selection. NaN samples are
+/// outside the contract, as they are for the sort it replaces; so is which
+/// of +0 and -0 a tie between them yields. Throws std::invalid_argument
+/// when `n` exceeds kMaxFingerprintSamples. All zeros when `n` is 0.
+WindowStats SummarizeWindow(const double* values, size_t n);
+
+/// Assembles a fingerprint from the window summaries of its three signals.
+ProfileStats Fingerprint(const WindowStats& cpu, const WindowStats& ram,
+                         const WindowStats& rate, double working_set_bytes);
+
+/// Computes the summary fingerprint of a profile: SummarizeWindow over each
+/// series (so each must hold at most kMaxFingerprintSamples samples). The
+/// online StreamingProfileBuilder::Stats runs the same kernel on its ring
+/// buffers, so there is one fingerprint definition.
 ProfileStats Summarize(const WorkloadProfile& profile);
 
 }  // namespace kairos::monitor

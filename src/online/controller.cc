@@ -100,6 +100,8 @@ core::ConsolidationProblem ConsolidationController::SnapshotProblem() const {
 }
 
 std::vector<monitor::ProfileStats> ConsolidationController::CurrentStats() {
+  // Stats(w) summarises stream w straight from the builder's rings, without
+  // allocating, so this is one pass of O(W) work per stream.
   std::vector<monitor::ProfileStats> stats(builder_.num_workloads());
   if (ingest_ != nullptr) {
     // Each stripe summarizes its own streams into disjoint result slots.

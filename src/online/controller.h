@@ -45,7 +45,8 @@ struct ControllerConfig {
   /// Servers available to place on (the fleet). 0 means one per slot.
   int num_servers = 0;
 
-  /// Rolling profile length (samples) handed to each re-solve.
+  /// Rolling profile length (samples) handed to each re-solve; at most
+  /// StreamingProfileBuilder::kMaxWindowSamples.
   int window_samples = 12;
   /// Monitoring step length (the rolling profiles' sampling interval).
   double sample_interval_seconds = 300.0;

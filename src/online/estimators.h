@@ -107,10 +107,10 @@ class RollingWindowBank {
   size_t size() const { return size_; }
   bool full() const { return size_ == capacity_; }
 
-  /// Bit-identical to the matching RollingWindow accessor (same summation
-  /// and comparison order).
-  double Mean(int w) const;
-  double Max(int w) const;
+  /// Copies stream w's window, oldest first, into `out[0, size())`.
+  void CopyWindow(int w, double* out) const;
+  /// Stream w's window as a TimeSeries, bit-identical to the matching
+  /// RollingWindow::ToSeries.
   util::TimeSeries ToSeries(int w) const;
 
  private:

@@ -1,20 +1,35 @@
 #include "online/streaming_profile.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace kairos::online {
+namespace {
+
+// Rejects a window outside [1, kMaxWindowSamples] before any bank allocates.
+size_t CheckedWindow(size_t window_samples) {
+  if (window_samples < 1 ||
+      window_samples > StreamingProfileBuilder::kMaxWindowSamples) {
+    throw std::invalid_argument(
+        "StreamingProfileBuilder: window_samples must be in "
+        "[1, kMaxWindowSamples]");
+  }
+  return window_samples;
+}
+
+}  // namespace
 
 StreamingProfileBuilder::StreamingProfileBuilder(int num_workloads,
                                                  size_t window_samples,
                                                  double interval_seconds,
                                                  double working_set_decay)
     : num_workloads_(num_workloads),
-      cpu_(num_workloads, window_samples, interval_seconds),
+      cpu_(num_workloads, CheckedWindow(window_samples), interval_seconds),
       ram_(num_workloads, window_samples, interval_seconds),
       rate_(num_workloads, window_samples, interval_seconds),
       p95_cpu_(num_workloads, 0.95),
       working_set_(num_workloads, working_set_decay) {
-  assert(num_workloads >= 1 && window_samples >= 1);
+  assert(num_workloads >= 1);
 }
 
 void StreamingProfileBuilder::Ingest(const std::vector<TelemetrySample>& samples) {
@@ -56,9 +71,17 @@ monitor::WorkloadProfile StreamingProfileBuilder::Profile(int w) const {
 }
 
 monitor::ProfileStats StreamingProfileBuilder::Stats(int w) const {
-  // One fingerprint definition for the whole system: the drift detector
-  // compares exactly what monitor::Summarize says about the rolling profile.
-  return monitor::Summarize(Profile(w));
+  // One fingerprint definition for the whole system: the same kernel that
+  // monitor::Summarize runs on a profile's series, here on the ring.
+  const size_t n = cpu_.size();
+  double window[kMaxWindowSamples];  // only [0, n) is written, then read
+  cpu_.CopyWindow(w, window);
+  const monitor::WindowStats cpu = monitor::SummarizeWindow(window, n);
+  ram_.CopyWindow(w, window);
+  const monitor::WindowStats ram = monitor::SummarizeWindow(window, n);
+  rate_.CopyWindow(w, window);
+  const monitor::WindowStats rate = monitor::SummarizeWindow(window, n);
+  return monitor::Fingerprint(cpu, ram, rate, working_set_.value(w));
 }
 
 }  // namespace kairos::online

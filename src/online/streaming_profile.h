@@ -25,8 +25,13 @@ namespace kairos::online {
 
 class StreamingProfileBuilder {
  public:
+  /// Largest W: Stats() summarises each window in a stack buffer of this
+  /// many samples.
+  static constexpr size_t kMaxWindowSamples = monitor::kMaxFingerprintSamples;
+
   /// `window_samples` is W, the rolling-profile length handed to re-solves;
-  /// `interval_seconds` is the monitoring step.
+  /// `interval_seconds` is the monitoring step. Throws
+  /// std::invalid_argument unless 1 <= W <= kMaxWindowSamples.
   StreamingProfileBuilder(int num_workloads, size_t window_samples,
                           double interval_seconds,
                           double working_set_decay = 0.995);
@@ -48,10 +53,16 @@ class StreamingProfileBuilder {
   size_t samples_seen() const { return samples_seen_; }
 
   /// Rolling profile of workload `w` (series only — name/replicas/pinning
-  /// metadata stay with the caller's problem template).
+  /// metadata stay with the caller's problem template). Allocates three
+  /// series; for the problem snapshot a re-solve runs on.
   monitor::WorkloadProfile Profile(int w) const;
 
-  /// Window fingerprint of workload `w` (p95/mean over the last W samples).
+  /// Window fingerprint of workload `w`: mean, p95 and peak of CPU and RAM
+  /// and the p95 of the update rate over the last W samples, plus the
+  /// working-set estimate. Bitwise equal to monitor::Summarize(Profile(w)),
+  /// but allocation-free: each signal's window is gathered from the ring
+  /// into a stack buffer and run through monitor::SummarizeWindow. Reads
+  /// only stream w, so disjoint streams may be summarised concurrently.
   monitor::ProfileStats Stats(int w) const;
 
   /// Lifetime p95 CPU of workload `w` from the P² estimator (reporting).

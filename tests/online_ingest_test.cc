@@ -71,24 +71,31 @@ TEST(EstimatorBankTest, RollingWindowBankMatchesScalarBitExact) {
   constexpr size_t kCapacity = 5;
   std::vector<RollingWindow> scalar(kStreams, RollingWindow(kCapacity, 300.0));
   RollingWindowBank bank(kStreams, kCapacity, 300.0);
+  // The builder's CPU window is a RollingWindowBank fed the same values.
+  StreamingProfileBuilder builder(kStreams, kCapacity, 300.0);
 
   util::Rng rng(17);
+  std::vector<TelemetrySample> step(kStreams);
   for (int t = 0; t < 23; ++t) {
     for (int w = 0; w < kStreams; ++w) {
       const double x = rng.Exponential(2.0);
       scalar[w].Push(x);
       bank.Push(w, x);
+      step[w].cpu_cores = x;
     }
     bank.CommitStep();
+    builder.Ingest(step);
     for (int w = 0; w < kStreams; ++w) {
-      // EXPECT_EQ, not NEAR: the bank must run the identical FP operations
-      // in the identical order, at every prefix including the ring wrap.
-      EXPECT_EQ(bank.Mean(w), scalar[w].Mean()) << "t=" << t << " w=" << w;
-      EXPECT_EQ(bank.Max(w), scalar[w].Max()) << "t=" << t << " w=" << w;
+      // EXPECT_EQ, not NEAR: the window must hold the identical samples in
+      // the identical order, at every prefix including the ring wrap.
       const util::TimeSeries a = bank.ToSeries(w);
       const util::TimeSeries b = scalar[w].ToSeries();
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.at(i), b.at(i));
+      // The fingerprint's mean and peak are the chronological ones.
+      const monitor::ProfileStats stats = builder.Stats(w);
+      EXPECT_EQ(stats.mean_cpu_cores, b.Mean()) << "t=" << t << " w=" << w;
+      EXPECT_EQ(stats.peak_cpu_cores, b.Max()) << "t=" << t << " w=" << w;
     }
   }
   EXPECT_TRUE(bank.full());
@@ -164,9 +171,14 @@ void ExpectSameState(StreamingProfileBuilder& a, StreamingProfileBuilder& b) {
     EXPECT_EQ(a.LifetimeP95Cpu(w), b.LifetimeP95Cpu(w));
     const monitor::ProfileStats sa = a.Stats(w);
     const monitor::ProfileStats sb = b.Stats(w);
-    EXPECT_EQ(sa.p95_cpu_cores, sb.p95_cpu_cores);
-    EXPECT_EQ(sa.p95_ram_bytes, sb.p95_ram_bytes);
     EXPECT_EQ(sa.mean_cpu_cores, sb.mean_cpu_cores);
+    EXPECT_EQ(sa.p95_cpu_cores, sb.p95_cpu_cores);
+    EXPECT_EQ(sa.peak_cpu_cores, sb.peak_cpu_cores);
+    EXPECT_EQ(sa.mean_ram_bytes, sb.mean_ram_bytes);
+    EXPECT_EQ(sa.p95_ram_bytes, sb.p95_ram_bytes);
+    EXPECT_EQ(sa.peak_ram_bytes, sb.peak_ram_bytes);
+    EXPECT_EQ(sa.p95_update_rows_per_sec, sb.p95_update_rows_per_sec);
+    EXPECT_EQ(sa.working_set_bytes, sb.working_set_bytes);
   }
 }
 
